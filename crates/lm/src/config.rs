@@ -150,6 +150,28 @@ impl ModelConfig {
         }
         Ok(())
     }
+
+    /// The input contract of [`crate::ModelOf::try_forward`] and every
+    /// generator, in order: `EmptyInput`, `SequenceFull` past
+    /// `max_seq_len`, then `TokenOutOfRange` for the first bad id.
+    pub(crate) fn check_prompt(&self, tokens: &[u32]) -> Result<(), LmError> {
+        if tokens.is_empty() {
+            return Err(LmError::EmptyInput);
+        }
+        if tokens.len() > self.max_seq_len {
+            return Err(LmError::SequenceFull {
+                pos: self.max_seq_len,
+                max_seq_len: self.max_seq_len,
+            });
+        }
+        match tokens.iter().find(|&&t| t as usize >= self.vocab_size) {
+            Some(&token) => Err(LmError::TokenOutOfRange {
+                token,
+                vocab: self.vocab_size,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

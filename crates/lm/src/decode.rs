@@ -5,7 +5,8 @@
 //! with a key/value cache — O(T) attention work per new token instead of
 //! re-running the full O(T²) prefill every step. [`DecodeSession`]
 //! implements that loop and is verified (see tests) to produce logits
-//! identical to the full forward pass.
+//! identical to the full forward pass; [`BatchDecodeSession`] serves many
+//! sequences through the same step kernel.
 //!
 //! The cache is **preallocated** at `max_seq_len` rows per layer and
 //! written in place, one row per token. Growing it with
@@ -17,6 +18,7 @@
 use aptq_obs::Recorder;
 use aptq_tensor::Matrix;
 
+use crate::config::ModelConfig;
 use crate::linear::{Linear, LinearOp};
 use crate::model::ModelOf;
 use crate::rope::RopeTable;
@@ -30,6 +32,147 @@ struct LayerKv {
     k_rot: Matrix,
     /// Values.
     v: Matrix,
+}
+
+/// One sequence's private KV cache and position: a [`DecodeSession`]
+/// owns one, a [`BatchDecodeSession`] a table of them.
+#[derive(Debug)]
+struct SeqSlot {
+    layers: Vec<LayerKv>,
+    pos: usize,
+}
+
+impl SeqSlot {
+    /// An empty sequence with its full `max_seq_len`-row KV cache
+    /// preallocated, so stepping never regrows it.
+    fn new(cfg: &ModelConfig) -> Self {
+        SeqSlot {
+            layers: (0..cfg.n_layers)
+                .map(|_| LayerKv {
+                    k_rot: Matrix::zeros(cfg.max_seq_len, cfg.d_model),
+                    v: Matrix::zeros(cfg.max_seq_len, cfg.d_model),
+                })
+                .collect(),
+            pos: 0,
+        }
+    }
+
+    /// Used (not preallocated) cache bytes.
+    fn cache_bytes(&self, cfg: &ModelConfig) -> usize {
+        self.pos * kv_bytes_per_token(cfg)
+    }
+
+    /// Checks that `token` is in the vocabulary and a cache row is free.
+    fn check_next(&self, token: u32, cfg: &ModelConfig) -> Result<(), LmError> {
+        if token as usize >= cfg.vocab_size {
+            return Err(LmError::TokenOutOfRange {
+                token,
+                vocab: cfg.vocab_size,
+            });
+        }
+        if self.pos >= cfg.max_seq_len {
+            return Err(LmError::SequenceFull {
+                pos: self.pos,
+                max_seq_len: cfg.max_seq_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Fault injection: overwrites the most recently written layer-0
+    /// key-cache row with NaN. No-op before the first token.
+    fn poison(&mut self) {
+        if let (Some(last), Some(kv)) = (self.pos.checked_sub(1), self.layers.first_mut()) {
+            for v in kv.k_rot.row_mut(last) {
+                *v = f32::NAN;
+            }
+        }
+    }
+}
+
+/// KV-cache bytes one fed token writes: a key row and a value row per
+/// layer.
+fn kv_bytes_per_token(cfg: &ModelConfig) -> usize {
+    cfg.n_layers * 2 * cfg.d_model * std::mem::size_of::<f32>()
+}
+
+/// The decode step behind both sessions: feeds token `t` to sequence
+/// `slots[seq]` for every `(seq, t)` in `tokens` and returns the
+/// next-token logits, row `r` answering `tokens[r]`.
+///
+/// The rows are stacked into one B×d matrix, so each projection runs
+/// once per layer for the whole batch (where packed unpacking
+/// amortizes), and attention runs per row against that sequence's own
+/// cache. A solo session is the B = 1 case, so with row-independent
+/// projections ([`LinearOp`] contract) batched ≡ solo by construction.
+///
+/// Callers validate before and quarantine after: this writes one cache
+/// row per layer per sequence but advances no position, and records
+/// only the operators' [`LinearOp::forward_into`] counters.
+///
+/// # HotPath
+///
+/// Allocation budget: per-step scratch (stacked hidden rows, projection
+/// outputs, per-head score vector, logits) sized by batch × model, never
+/// by sequence length; KV caches are preallocated by [`SeqSlot::new`]
+/// and written in place, never regrown.
+///
+/// # Determinism
+///
+/// Projections run on the shared matmul threadpool
+/// ([`aptq_tensor::parallel`]); logits and recorded counters are
+/// bit-identical at any `APTQ_THREADS` value.
+fn forward_step<L: LinearOp>(
+    model: &ModelOf<L>,
+    slots: &mut [Option<SeqSlot>],
+    tokens: &[(usize, u32)],
+    rec: &mut Recorder,
+) -> Matrix {
+    let cfg = model.config();
+    let (b, d_model, n_heads, d_head) = (tokens.len(), cfg.d_model, cfg.n_heads, cfg.d_head());
+
+    // Stacked embedding rows, one per listed sequence.
+    let mut x = Matrix::zeros(b, d_model);
+    for (r, &(_, token)) in tokens.iter().enumerate() {
+        x.row_mut(r)
+            .copy_from_slice(model.embed().row(token as usize));
+    }
+
+    for (li, block) in model.blocks().iter().enumerate() {
+        // Attention sub-layer. One projection call covers every row, and
+        // goes through the generic LinearOp hook so packed operators
+        // count their unpacking work into `rec`.
+        let (normed, _) = block.norm1.forward(&x);
+        let mut q = block.attn.wq().forward_op(&normed, Some(&mut *rec));
+        let mut k = block.attn.wk().forward_op(&normed, Some(&mut *rec));
+        let v = block.attn.wv().forward_op(&normed, Some(&mut *rec));
+        let mut concat = Matrix::zeros(b, d_model);
+        for (r, &(seq, _)) in tokens.iter().enumerate() {
+            if let Some(slot) = slots[seq].as_mut() {
+                attend_cached_row(
+                    &mut slot.layers[li],
+                    model.rope(),
+                    n_heads,
+                    d_head,
+                    slot.pos,
+                    q.row_mut(r),
+                    k.row_mut(r),
+                    v.row(r),
+                    concat.row_mut(r),
+                );
+            }
+        }
+        let attn_out = block.attn.wo().forward_op(&concat, Some(&mut *rec));
+        x.add_assign(&attn_out);
+
+        // FFN sub-layer.
+        let (normed2, _) = block.norm2.forward(&x);
+        let (ffn_out, _) = block.ffn.forward_opt(&normed2, Some(&mut *rec));
+        x.add_assign(&ffn_out);
+    }
+
+    let (normed, _) = model.final_norm().forward(&x);
+    normed.matmul(model.lm_head())
 }
 
 /// An incremental decoding session over a model, generic over the
@@ -56,8 +199,9 @@ struct LayerKv {
 #[derive(Debug)]
 pub struct DecodeSession<'m, L = Linear> {
     model: &'m ModelOf<L>,
-    layers: Vec<LayerKv>,
-    pos: usize,
+    /// The session's one sequence — always `Some`; held as an `Option`
+    /// so it passes to the step kernel as a one-slot table.
+    slot: Option<SeqSlot>,
     /// Position at which non-finite logits first appeared, if ever.
     /// A quarantined session refuses all further tokens.
     quarantined: Option<usize>,
@@ -69,18 +213,9 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// `max_seq_len`-row KV cache so [`DecodeSession::feed`] never
     /// reallocates or copies previously cached rows.
     pub fn new(model: &'m ModelOf<L>) -> Self {
-        let d = model.config().d_model;
-        let t_max = model.config().max_seq_len;
-        let layers = (0..model.config().n_layers)
-            .map(|_| LayerKv {
-                k_rot: Matrix::zeros(t_max, d),
-                v: Matrix::zeros(t_max, d),
-            })
-            .collect();
         DecodeSession {
             model,
-            layers,
-            pos: 0,
+            slot: Some(SeqSlot::new(model.config())),
             quarantined: None,
             metrics: Recorder::new(),
         }
@@ -93,12 +228,12 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
 
     /// Number of tokens consumed so far.
     pub fn len(&self) -> usize {
-        self.pos
+        self.slot.as_ref().map_or(0, |slot| slot.pos)
     }
 
     /// Whether no tokens have been consumed.
     pub fn is_empty(&self) -> bool {
-        self.pos == 0
+        self.len() == 0
     }
 
     /// Cache memory in **used** bytes (the edge-deployment statistic:
@@ -106,7 +241,8 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// not-yet-written rows are capacity, not usage, so this grows
     /// linearly with the number of tokens fed.
     pub fn cache_bytes(&self) -> usize {
-        self.layers.len() * 2 * self.pos * self.model.config().d_model * std::mem::size_of::<f32>()
+        let cfg = self.model.config();
+        self.slot.as_ref().map_or(0, |slot| slot.cache_bytes(cfg))
     }
 
     /// Telemetry recorded so far: `decode/tokens`,
@@ -137,16 +273,13 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     /// detect the resulting non-finite logits. No-op before the first
     /// fed token (no cache row has been written yet).
     pub fn poison_kv_cache(&mut self) {
-        if self.pos == 0 || self.layers.is_empty() {
-            return;
-        }
-        let row = self.layers[0].k_rot.row_mut(self.pos - 1);
-        for v in row {
-            *v = f32::NAN;
+        if let Some(slot) = self.slot.as_mut() {
+            slot.poison();
         }
     }
 
-    /// Feeds one token; returns the next-token logits.
+    /// Feeds one token (a one-row [`BatchDecodeSession::step`]);
+    /// returns the next-token logits.
     ///
     /// # Determinism
     ///
@@ -156,10 +289,10 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: per-token scratch (projection rows, per-head
-    /// score vector, logits row) sized by the model, never by the
-    /// sequence; the KV cache is written in place, never regrown. The
-    /// non-finite quarantine scan reads the logits row in place.
+    /// Allocation budget: the step kernel's per-token scratch, sized by
+    /// the model, never by the sequence; the 1 × vocab logits row is
+    /// moved out, not copied, and the non-finite quarantine scan reads
+    /// it in place.
     ///
     /// # Errors
     ///
@@ -174,75 +307,26 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
             return Err(LmError::NonFiniteLogits { pos });
         }
         let cfg = self.model.config();
-        if token as usize >= cfg.vocab_size {
-            return Err(LmError::TokenOutOfRange {
-                token,
-                vocab: cfg.vocab_size,
-            });
+        let pos = self.len();
+        if let Some(slot) = &self.slot {
+            slot.check_next(token, cfg)?;
         }
-        if self.pos >= cfg.max_seq_len {
-            return Err(LmError::SequenceFull {
-                pos: self.pos,
-                max_seq_len: cfg.max_seq_len,
-            });
-        }
-        let d_model = cfg.d_model;
-        let n_heads = cfg.n_heads;
-        let d_head = cfg.d_head();
-        let rope = self.model.rope();
-        let pos = self.pos;
-
-        // Embedding row.
-        let mut x = Matrix::zeros(1, d_model);
-        x.row_mut(0)
-            .copy_from_slice(self.model.embed().row(token as usize));
-
-        let model = self.model;
-        for (li, block) in model.blocks().iter().enumerate() {
-            // Attention sub-layer. Projections go through the generic
-            // LinearOp hook so packed operators count their unpacking
-            // work into the session metrics.
-            let (normed, _) = block.norm1.forward(&x);
-            let mut q = block.attn.wq().forward_op(&normed, Some(&mut self.metrics));
-            let mut k = block.attn.wk().forward_op(&normed, Some(&mut self.metrics));
-            let v = block.attn.wv().forward_op(&normed, Some(&mut self.metrics));
-            // RoPE, in-place cache append (only the new row is written,
-            // the rest of the cache is untouched) and attention all run
-            // in the shared per-row kernel, so a batched step produces
-            // this row bit-for-bit.
-            let mut concat = Matrix::zeros(1, d_model);
-            attend_cached_row(
-                &mut self.layers[li],
-                rope,
-                n_heads,
-                d_head,
-                pos,
-                q.row_mut(0),
-                k.row_mut(0),
-                v.row(0),
-                concat.row_mut(0),
-            );
-            self.metrics.add(
-                "decode/kv_bytes_moved",
-                (2 * d_model * std::mem::size_of::<f32>()) as u64,
-            );
-            let attn_out = block.attn.wo().forward_op(&concat, Some(&mut self.metrics));
-            x.add_assign(&attn_out);
-
-            // FFN sub-layer.
-            let (normed2, _) = block.norm2.forward(&x);
-            let (ffn_out, _) = block.ffn.forward_opt(&normed2, Some(&mut self.metrics));
-            x.add_assign(&ffn_out);
-        }
-
-        let (normed, _) = model.final_norm().forward(&x);
-        let logits = normed.matmul(model.lm_head());
+        let logits = forward_step(
+            self.model,
+            std::slice::from_mut(&mut self.slot),
+            &[(0, token)],
+            &mut self.metrics,
+        );
+        self.metrics
+            .add("decode/kv_bytes_moved", kv_bytes_per_token(cfg) as u64);
         if !logits.row(0).iter().all(|v| v.is_finite()) {
-            self.quarantined = Some(self.pos);
+            self.quarantined = Some(pos);
             self.metrics.incr("decode/quarantine/sessions");
-            return Err(LmError::NonFiniteLogits { pos: self.pos });
+            return Err(LmError::NonFiniteLogits { pos });
         }
-        self.pos += 1;
+        if let Some(slot) = self.slot.as_mut() {
+            slot.pos += 1;
+        }
         self.metrics.incr("decode/tokens");
         // `logits` is 1 × vocab: moving it out is free, where
         // `row(0).to_vec()` would copy the row.
@@ -281,27 +365,15 @@ impl<'m, L: LinearOp> DecodeSession<'m, L> {
 ///
 /// # Errors
 ///
-/// Propagates session errors; an empty prompt is [`LmError::EmptyInput`].
+/// Rejects the prompt per the [`crate::generate`] input contract;
+/// propagates session errors.
 pub fn generate_greedy_cached<L: LinearOp>(
     model: &ModelOf<L>,
     prompt: &[u32],
     n_new: usize,
 ) -> Result<Vec<u32>, LmError> {
-    if prompt.is_empty() {
-        return Err(LmError::EmptyInput);
-    }
     let mut session = DecodeSession::new(model);
-    let mut logits = session.feed_all(prompt)?;
-    let mut out = prompt.to_vec();
-    for _ in 0..n_new {
-        let next = aptq_tensor::select::argmax(&logits) as u32;
-        out.push(next);
-        if session.len() >= model.config().max_seq_len {
-            break;
-        }
-        logits = session.feed(next)?;
-    }
-    Ok(out)
+    crate::generate::extend_cached(&mut session, prompt, n_new, aptq_tensor::select::argmax)
 }
 
 /// One sequence's cached-attention step for one layer: rotates the
@@ -309,11 +381,9 @@ pub fn generate_greedy_cached<L: LinearOp>(
 /// in place at cache row `pos`, and accumulates the softmax-weighted
 /// values over rows `[0, pos]` into `out`.
 ///
-/// Shared verbatim between [`DecodeSession::feed`] and
-/// [`BatchDecodeSession::step`] (one call per batch row), so a batched
-/// row is bit-identical to solo decoding **by construction**: the float
-/// operations and their order never depend on how many other sequences
-/// share the step.
+/// Called once per row by [`forward_step`], so a row's float operations
+/// and their order never depend on how many other sequences share the
+/// step.
 ///
 /// Dot-product order matches `Matrix::matmul_nt`; the softmax mirrors
 /// `aptq_tensor::activation::softmax_rows`.
@@ -375,14 +445,6 @@ fn attend_cached_row(
     }
 }
 
-/// One sequence's state inside a [`BatchDecodeSession`]: its private
-/// per-layer KV cache and its own position counter.
-#[derive(Debug)]
-struct SeqSlot {
-    layers: Vec<LayerKv>,
-    pos: usize,
-}
-
 /// A multi-sequence KV-cached decode engine: one token per active
 /// sequence per step, with the per-sequence hidden rows stacked into a
 /// single B×d matrix so every projection runs **once per layer per
@@ -396,9 +458,9 @@ struct SeqSlot {
 /// never disturbs other sequences' caches or positions.
 ///
 /// Every sequence's logits are bit-identical to decoding it alone in a
-/// [`DecodeSession`] — attention runs per row against that sequence's
-/// own cache through the same kernel, and the batched projections are
-/// row-independent by the [`LinearOp`] contract.
+/// [`DecodeSession`] — both sessions run the same step kernel, attention
+/// runs per row against that sequence's own cache, and the batched
+/// projections are row-independent by the [`LinearOp`] contract.
 ///
 /// # Example
 ///
@@ -445,17 +507,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     /// `max_seq_len`-row KV cache is preallocated here so stepping
     /// never regrows it.
     pub fn join(&mut self) -> usize {
-        let d = self.model.config().d_model;
-        let t_max = self.model.config().max_seq_len;
-        let fresh = SeqSlot {
-            layers: (0..self.model.config().n_layers)
-                .map(|_| LayerKv {
-                    k_rot: Matrix::zeros(t_max, d),
-                    v: Matrix::zeros(t_max, d),
-                })
-                .collect(),
-            pos: 0,
-        };
+        let fresh = SeqSlot::new(self.model.config());
         self.metrics.incr("decode/batch/joins");
         if let Some(i) = self.slots.iter().position(|s| s.is_none()) {
             self.slots[i] = Some(fresh);
@@ -473,7 +525,7 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     ///
     /// Returns [`LmError::UnknownSeq`] if `seq` is not active.
     pub fn leave(&mut self, seq: usize) -> Result<(), LmError> {
-        if seq >= self.slots.len() || self.slots[seq].is_none() {
+        if !self.is_active(seq) {
             return Err(LmError::UnknownSeq { seq });
         }
         self.slots[seq] = None;
@@ -483,31 +535,28 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
 
     /// Number of currently active sequences.
     pub fn active(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.iter().flatten().count()
     }
 
     /// Whether sequence `seq` is active.
     pub fn is_active(&self, seq: usize) -> bool {
-        seq < self.slots.len() && self.slots[seq].is_some()
+        self.seq_len(seq).is_some()
     }
 
     /// Tokens consumed so far by sequence `seq` (`None` if inactive).
     pub fn seq_len(&self, seq: usize) -> Option<usize> {
-        match self.slots.get(seq) {
-            Some(Some(slot)) => Some(slot.pos),
-            _ => None,
-        }
+        self.slots.get(seq)?.as_ref().map(|slot| slot.pos)
     }
 
     /// Cache memory in **used** bytes, summed over active sequences
     /// (same statistic as [`DecodeSession::cache_bytes`]). A sequence
     /// that leaves stops counting immediately.
     pub fn cache_bytes(&self) -> usize {
-        let row = 2 * self.model.config().d_model * std::mem::size_of::<f32>();
+        let cfg = self.model.config();
         self.slots
             .iter()
             .flatten()
-            .map(|slot| slot.layers.len() * slot.pos * row)
+            .map(|slot| slot.cache_bytes(cfg))
             .sum()
     }
 
@@ -547,25 +596,15 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
         let Some(Some(slot)) = self.slots.get_mut(seq) else {
             return Err(LmError::UnknownSeq { seq });
         };
-        if slot.pos == 0 || slot.layers.is_empty() {
-            return Ok(());
-        }
-        let pos = slot.pos;
-        let row = slot.layers[0].k_rot.row_mut(pos - 1);
-        for v in row {
-            *v = f32::NAN;
-        }
+        slot.poison();
         Ok(())
     }
 
     /// Feeds one token per listed sequence; returns the batch logits
-    /// (`tokens.len() × vocab`, row `r` answering `tokens[r]`).
-    ///
-    /// The hidden rows of all listed sequences are stacked into one
-    /// B×d matrix, so each [`LinearOp::forward_into`] call runs once
-    /// per layer per step over the whole batch; attention then runs
-    /// per row against that sequence's own cache at its own position,
-    /// through the same kernel as [`DecodeSession::feed`].
+    /// (`tokens.len() × vocab`, row `r` answering `tokens[r]`). Each
+    /// [`LinearOp::forward_into`] call runs once per layer over the
+    /// stacked rows, through the same step kernel as
+    /// [`DecodeSession::feed`].
     ///
     /// # Determinism
     ///
@@ -591,10 +630,9 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
     ///
     /// # HotPath
     ///
-    /// Allocation budget: per-step scratch (stacked hidden rows,
-    /// projection outputs, per-head score vector, logits, and a
-    /// batch-sized eviction list) sized by batch × model, never by
-    /// sequence length; per-sequence KV caches are preallocated at
+    /// Allocation budget: the step kernel's per-step scratch, sized by
+    /// batch × model, never by sequence length, plus a batch-sized
+    /// eviction list; per-sequence KV caches are preallocated at
     /// [`BatchDecodeSession::join`] and written in place, never
     /// regrown.
     ///
@@ -612,93 +650,32 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
         }
         let cfg = self.model.config();
         for (i, &(seq, token)) in tokens.iter().enumerate() {
-            if seq >= self.slots.len() || self.slots[seq].is_none() {
+            let Some(Some(slot)) = self.slots.get(seq) else {
                 return Err(LmError::UnknownSeq { seq });
+            };
+            if tokens[..i].iter().any(|&(prev, _)| prev == seq) {
+                return Err(LmError::DuplicateSeq { seq });
             }
-            for &(prev, _) in &tokens[..i] {
-                if prev == seq {
-                    return Err(LmError::DuplicateSeq { seq });
-                }
-            }
-            if token as usize >= cfg.vocab_size {
-                return Err(LmError::TokenOutOfRange {
-                    token,
-                    vocab: cfg.vocab_size,
-                });
-            }
-            if let Some(slot) = &self.slots[seq] {
-                if slot.pos >= cfg.max_seq_len {
-                    return Err(LmError::SequenceFull {
-                        pos: slot.pos,
-                        max_seq_len: cfg.max_seq_len,
-                    });
-                }
-            }
+            slot.check_next(token, cfg)?;
         }
 
         let b = tokens.len();
-        let d_model = cfg.d_model;
-        let n_heads = cfg.n_heads;
-        let d_head = cfg.d_head();
-        let model = self.model;
-        let rope = model.rope();
-
-        // Stacked embedding rows, one per listed sequence.
-        let mut x = Matrix::zeros(b, d_model);
-        for (r, &(_, token)) in tokens.iter().enumerate() {
-            x.row_mut(r)
-                .copy_from_slice(model.embed().row(token as usize));
-        }
-
-        for (li, block) in model.blocks().iter().enumerate() {
-            // One projection call covers every sequence in the batch —
-            // this is where a packed operator's unpacking amortizes.
-            let (normed, _) = block.norm1.forward(&x);
-            let mut q = block.attn.wq().forward_op(&normed, Some(&mut self.metrics));
-            let mut k = block.attn.wk().forward_op(&normed, Some(&mut self.metrics));
-            let v = block.attn.wv().forward_op(&normed, Some(&mut self.metrics));
-            let mut concat = Matrix::zeros(b, d_model);
-            for (r, &(seq, _)) in tokens.iter().enumerate() {
-                if let Some(slot) = self.slots[seq].as_mut() {
-                    attend_cached_row(
-                        &mut slot.layers[li],
-                        rope,
-                        n_heads,
-                        d_head,
-                        slot.pos,
-                        q.row_mut(r),
-                        k.row_mut(r),
-                        v.row(r),
-                        concat.row_mut(r),
-                    );
-                    self.metrics.add(
-                        "decode/batch/kv_bytes_moved",
-                        (2 * d_model * std::mem::size_of::<f32>()) as u64,
-                    );
-                }
-            }
-            let attn_out = block.attn.wo().forward_op(&concat, Some(&mut self.metrics));
-            x.add_assign(&attn_out);
-
-            let (normed2, _) = block.norm2.forward(&x);
-            let (ffn_out, _) = block.ffn.forward_opt(&normed2, Some(&mut self.metrics));
-            x.add_assign(&ffn_out);
-        }
-
-        let (normed, _) = model.final_norm().forward(&x);
-        let logits = normed.matmul(model.lm_head());
-        let mut occupancy = 0u64;
-        for s in &self.slots {
-            if s.is_some() {
-                occupancy += 1;
-            }
-        }
-        // Non-finite quarantine: evict poisoned rows before positions
-        // advance. Batch-sized one-shot scratch, filled by index.
+        let logits = forward_step(self.model, &mut self.slots, tokens, &mut self.metrics);
+        self.metrics.add(
+            "decode/batch/kv_bytes_moved",
+            (b * kv_bytes_per_token(cfg)) as u64,
+        );
+        let occupancy = self.active() as u64;
+        // Non-finite quarantine: a poisoned row is evicted instead of
+        // advancing. Batch-sized one-shot scratch, filled by index.
         let mut evicted = vec![usize::MAX; b];
         let mut n_evicted = 0usize;
         for (r, &(seq, _)) in tokens.iter().enumerate() {
-            if !logits.row(r).iter().all(|v| v.is_finite()) {
+            if logits.row(r).iter().all(|v| v.is_finite()) {
+                if let Some(slot) = self.slots[seq].as_mut() {
+                    slot.pos += 1;
+                }
+            } else {
                 evicted[n_evicted] = seq;
                 n_evicted += 1;
                 self.slots[seq] = None;
@@ -707,11 +684,6 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
         }
         evicted.truncate(n_evicted);
         self.evicted = evicted;
-        for &(seq, _) in tokens {
-            if let Some(slot) = self.slots[seq].as_mut() {
-                slot.pos += 1;
-            }
-        }
         self.metrics.incr("decode/batch/steps");
         self.metrics.add("decode/batch/tokens", b as u64);
         self.metrics.add("decode/batch/occupancy", occupancy);
@@ -742,27 +714,20 @@ impl<'m, L: LinearOp> BatchDecodeSession<'m, L> {
 ///
 /// # Errors
 ///
-/// Returns [`LmError::EmptyInput`] if `prompts` is empty or any prompt
-/// is empty, [`LmError::SequenceFull`] if a prompt exceeds
-/// `max_seq_len`, and propagates token-validation errors from
-/// [`BatchDecodeSession::step`].
+/// Returns [`LmError::EmptyInput`] if `prompts` is empty, and rejects
+/// each prompt, in order, per the [`crate::generate`] input contract.
 pub fn generate_greedy_batched<L: LinearOp>(
     model: &ModelOf<L>,
     prompts: &[Vec<u32>],
     n_new: usize,
 ) -> Result<Vec<Vec<u32>>, LmError> {
-    if prompts.is_empty() || prompts.iter().any(|p| p.is_empty()) {
+    if prompts.is_empty() {
         return Err(LmError::EmptyInput);
     }
-    let max = model.config().max_seq_len;
     for p in prompts {
-        if p.len() > max {
-            return Err(LmError::SequenceFull {
-                pos: max,
-                max_seq_len: max,
-            });
-        }
+        model.config().check_prompt(p)?;
     }
+    let max = model.config().max_seq_len;
     let mut session = BatchDecodeSession::new(model);
     let slots: Vec<usize> = prompts.iter().map(|_| session.join()).collect();
     let mut outs: Vec<Vec<u32>> = prompts.to_vec();

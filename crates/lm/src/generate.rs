@@ -1,18 +1,23 @@
 //! Deterministic and sampled text generation.
 //!
-//! Both entry points decode through [`DecodeSession`] (O(T) per token);
-//! [`generate_greedy`] remains the uncached reference implementation
-//! the cached paths are tested against. All generation functions share
-//! one contract:
+//! Four generators: [`generate_greedy`], the uncached reference the
+//! others are tested against; [`generate_sampled`] and
+//! [`crate::decode::generate_greedy_cached`], which decode through a
+//! [`DecodeSession`] (O(T) per token); and
+//! [`crate::decode::generate_greedy_batched`]. They and
+//! [`crate::ModelOf::try_forward`] check a prompt up front (even at
+//! `n_new = 0`) with one contract, in this order:
 //!
 //! - an empty prompt is [`LmError::EmptyInput`];
 //! - a prompt longer than `max_seq_len` is [`LmError::SequenceFull`]
 //!   (the model cannot attend over more positions than its RoPE table
 //!   covers — silently sliding a window over the prompt would score
 //!   different tokens than the caller supplied);
-//! - generation stops early once the context is full, so at most
-//!   `max_seq_len + 1` total tokens are ever returned (the final token
-//!   is predicted from a full context but never fed back).
+//! - a token id outside the vocabulary is [`LmError::TokenOutOfRange`].
+//!
+//! Generation stops early once the context is full, so at most
+//! `max_seq_len + 1` total tokens are ever returned (the final token is
+//! predicted from a full context but never fed back).
 
 use aptq_tensor::activation::softmax;
 use rand::rngs::StdRng;
@@ -56,31 +61,20 @@ impl Default for SampleConfig {
 ///
 /// # Errors
 ///
-/// Returns [`LmError::EmptyInput`] for an empty prompt,
-/// [`LmError::SequenceFull`] for a prompt longer than `max_seq_len`
-/// (see the module contract), and [`LmError::TokenOutOfRange`] for
-/// invalid prompt tokens.
+/// Rejects the prompt per the module contract.
 pub fn generate_greedy<L: LinearOp>(
     model: &ModelOf<L>,
     prompt: &[u32],
     n_new: usize,
 ) -> Result<Vec<u32>, LmError> {
-    if prompt.is_empty() {
-        return Err(LmError::EmptyInput);
-    }
+    model.config().check_prompt(prompt)?;
     let max = model.config().max_seq_len;
-    if prompt.len() > max {
-        return Err(LmError::SequenceFull {
-            pos: max,
-            max_seq_len: max,
-        });
-    }
     let mut tokens = prompt.to_vec();
     for _ in 0..n_new {
         if tokens.len() > max {
             break;
         }
-        let logits = model.try_forward(&tokens)?;
+        let logits = model.forward(&tokens);
         let last = logits.row(logits.rows() - 1);
         let next = aptq_tensor::select::argmax(last);
         tokens.push(next as u32);
@@ -139,29 +133,37 @@ pub fn generate_sampled_session<L: LinearOp>(
     cfg: SampleConfig,
     rng: &mut StdRng,
 ) -> Result<Vec<u32>, LmError> {
-    if prompt.is_empty() {
-        return Err(LmError::EmptyInput);
-    }
-    let max = session.model().config().max_seq_len;
-    if prompt.len() > max {
-        return Err(LmError::SequenceFull {
-            pos: max,
-            max_seq_len: max,
-        });
-    }
+    extend_cached(session, prompt, n_new, |logits| {
+        if cfg.temperature <= 0.0 {
+            aptq_tensor::select::argmax(logits)
+        } else {
+            sample_step(logits, cfg, rng)
+        }
+    })
+}
+
+/// The prefill-then-extend loop behind [`generate_sampled_session`] and
+/// [`crate::decode::generate_greedy_cached`]: checks the prompt (module
+/// contract), feeds it to the fresh `session`, then appends
+/// `pick(logits)` up to `n_new` times, feeding each new token back
+/// until the context is full.
+pub(crate) fn extend_cached<L: LinearOp>(
+    session: &mut DecodeSession<'_, L>,
+    prompt: &[u32],
+    n_new: usize,
+    mut pick: impl FnMut(&[f32]) -> usize,
+) -> Result<Vec<u32>, LmError> {
+    let cfg = session.model().config();
+    cfg.check_prompt(prompt)?;
     let mut logits = session.feed_all(prompt)?;
     let mut out = prompt.to_vec();
     for _ in 0..n_new {
-        let next = if cfg.temperature <= 0.0 {
-            aptq_tensor::select::argmax(&logits)
-        } else {
-            sample_step(&logits, cfg, rng)
-        };
-        out.push(next as u32);
-        if session.len() >= max {
+        let next = pick(&logits) as u32;
+        out.push(next);
+        if session.len() >= cfg.max_seq_len {
             break;
         }
-        logits = session.feed(next as u32)?;
+        logits = session.feed(next)?;
     }
     Ok(out)
 }
@@ -363,6 +365,29 @@ mod tests {
             generate_sampled(&m, &prompt, 2, SampleConfig::default(), &mut init::rng(0)),
             Err(LmError::SequenceFull { .. })
         ));
+
+        // Every generator checks the whole prompt up front with the same
+        // contract, so an out-of-vocabulary id past position 0 fails even
+        // when no token is generated (`n_new = 0` never runs a forward).
+        let all = |p: &[u32], n: usize| {
+            let mut rng = init::rng(0);
+            [
+                generate_greedy(&m, p, n).map(drop),
+                crate::decode::generate_greedy_cached(&m, p, n).map(drop),
+                generate_sampled(&m, p, n, SampleConfig::default(), &mut rng).map(drop),
+                crate::decode::generate_greedy_batched(&m, &[vec![1], p.to_vec()], n).map(drop),
+            ]
+        };
+        for n_new in [0, 2] {
+            for (g, r) in all(&prompt, n_new).into_iter().enumerate() {
+                let ok = matches!(r, Err(LmError::SequenceFull { pos: 32, .. }));
+                assert!(ok, "generator {g}, n_new {n_new}: {r:?}");
+            }
+            for (g, r) in all(&[1, 99, 2], n_new).into_iter().enumerate() {
+                let ok = matches!(r, Err(LmError::TokenOutOfRange { token: 99, .. }));
+                assert!(ok, "generator {g}, n_new {n_new}: {r:?}");
+            }
+        }
     }
 
     #[test]

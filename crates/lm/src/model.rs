@@ -384,24 +384,16 @@ impl<L: LinearOp> ModelOf<L> {
     ///
     /// # Errors
     ///
-    /// Returns [`LmError::EmptyInput`] for an empty sequence and
-    /// [`LmError::TokenOutOfRange`] for invalid token ids.
+    /// Returns [`LmError::EmptyInput`] for an empty sequence,
+    /// [`LmError::SequenceFull`] for one longer than `max_seq_len`, and
+    /// [`LmError::TokenOutOfRange`] for invalid token ids — the same
+    /// input contract as every generator.
     /// # Determinism
     ///
     /// Bit-identical at any `APTQ_THREADS` value: every matmul runs on
     /// the deterministic threadpool ([`aptq_tensor::parallel`]).
     pub fn try_forward(&self, tokens: &[u32]) -> Result<Matrix, LmError> {
-        if tokens.is_empty() {
-            return Err(LmError::EmptyInput);
-        }
-        for &t in tokens {
-            if t as usize >= self.cfg.vocab_size {
-                return Err(LmError::TokenOutOfRange {
-                    token: t,
-                    vocab: self.cfg.vocab_size,
-                });
-            }
-        }
+        self.cfg.check_prompt(tokens)?;
         Ok(self.forward(tokens))
     }
 }
@@ -714,6 +706,16 @@ mod tests {
             Err(LmError::TokenOutOfRange { token: 99, .. })
         ));
         assert!(m.try_forward(&[1, 2]).is_ok());
+        // Longer than max_seq_len (32): a structured error, not the RoPE
+        // table's panic.
+        let long: Vec<u32> = (0..40).map(|i| (i % 16) as u32).collect();
+        assert!(matches!(
+            m.try_forward(&long),
+            Err(LmError::SequenceFull {
+                pos: 32,
+                max_seq_len: 32
+            })
+        ));
     }
 
     #[test]
