@@ -108,5 +108,11 @@ phase "telemetry snapshot (archived as results/telemetry.json)"
 # Recorder snapshot under results/.
 cargo run -q -p aptq-bench --bin telemetry --release > /dev/null
 
+phase "committed counters unchanged (results/telemetry.json, results/chaos.json)"
+# Both reports are deterministic work counters, regenerated above. A
+# change that moves them must commit the new files, so the drift shows
+# up in review instead of passing silently.
+git diff --exit-code -- results/telemetry.json results/chaos.json
+
 echo "    [timing] ${phase_name}: $((SECONDS - phase_t0))s"
 echo "All checks passed."

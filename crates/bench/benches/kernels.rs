@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks of the numerical kernels underlying the
 //! quantization pipeline: matmul, Cholesky/inverse factorization, the
-//! OBQ layer update, attention-aware Hessian construction, and the
-//! transformer forward pass.
+//! OBQ layer update, attention-aware Hessian construction, the
+//! transformer forward pass, and one projection call fp32 against
+//! packed.
 
 use aptq_core::engine::{quantize_layer_obq, quantize_layer_rtn};
 use aptq_core::grid::{GridConfig, QuantGrid};
 use aptq_core::hessian::HessianAccumulator;
-use aptq_lm::{Model, ModelConfig};
-use aptq_tensor::{init, linalg};
+use aptq_lm::{LinearOp, Model, ModelConfig};
+use aptq_qmodel::QuantizedLinear;
+use aptq_tensor::{init, linalg, Matrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -111,7 +113,7 @@ fn bench_forward(c: &mut Criterion) {
 fn bench_quantized_decode(c: &mut Criterion) {
     // Steady-state decode from packed storage vs the float path above:
     // same generic DecodeSession, projections executed by the
-    // group-streaming QuantizedLinear instead of fp32 matmul.
+    // packed QuantizedLinear instead of fp32 matmul.
     let model = Model::new(&ModelConfig::tiny_llama_s(100), 7);
     let tokens: Vec<u32> = (0..64).map(|i| (i % 100) as u32).collect();
     let calib: Vec<Vec<u32>> = (0..4)
@@ -126,9 +128,39 @@ fn bench_quantized_decode(c: &mut Criterion) {
     group.bench_function("forward_64tok", |b| {
         b.iter(|| black_box(q.forward(&tokens).unwrap()));
     });
+    // The same generator and prompt as `transformer/decode_32_plus_8`.
     group.bench_function("decode_32_plus_8", |b| {
-        b.iter(|| black_box(q.generate_greedy(&tokens[..32], 8).unwrap()));
+        b.iter(|| {
+            black_box(aptq_lm::decode::generate_greedy_cached(q.model(), &tokens[..32], 8).unwrap())
+        });
     });
+    group.finish();
+}
+
+fn bench_qlinear(c: &mut Criterion) {
+    // One projection call, fp32 against packed 2/3/4-bit RTN copies of
+    // the same weight: TinyLlama-S's `wq` (32×32) and `ffn.up` (32×64)
+    // on one row (a decode token) and on 64 rows (a batch).
+    let model = Model::new(&ModelConfig::tiny_llama_s(100), 7);
+    let block = &model.blocks()[0];
+    let mut group = c.benchmark_group("qlinear");
+    for (name, lin) in [("wq", block.attn.wq()), ("ffn.up", block.ffn.up())] {
+        for rows in [1usize, 64] {
+            let x = init::normal(rows, lin.d_in(), 1.0, &mut init::rng(8));
+            let mut out = Matrix::zeros(rows, lin.d_out());
+            group.bench_function(format!("{name}/fp32/{rows}"), |b| {
+                b.iter(|| lin.forward_into(black_box(&x), &mut out, None));
+            });
+            for bits in [2u8, 3, 4] {
+                let grid = QuantGrid::int(bits, true);
+                let packed = quantize_layer_rtn(lin.weight(), grid, &GridConfig::default()).packed;
+                let q = QuantizedLinear::new(packed);
+                group.bench_function(format!("{name}/packed{bits}/{rows}"), |b| {
+                    b.iter(|| q.forward_into(black_box(&x), &mut out, None));
+                });
+            }
+        }
+    }
     group.finish();
 }
 
@@ -155,6 +187,6 @@ criterion_group!(
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
     targets = bench_matmul, bench_cholesky, bench_obq_layer, bench_hessian_collection,
-        bench_forward, bench_quantized_decode, bench_packing
+        bench_forward, bench_quantized_decode, bench_qlinear, bench_packing
 );
 criterion_main!(kernels);

@@ -51,11 +51,9 @@ pub fn unpack_codes(data: &[u8], bits: u8, count: usize) -> Vec<u8> {
 /// Unpacks `count` codes starting at code index `start` (i.e. bit
 /// offset `start * bits`) from a buffer produced by [`pack_codes`].
 ///
-/// This is the random-access variant the packed-weight forward pass
-/// needs: a group whose first code does not land on a byte boundary is
-/// decoded directly from its bit offset instead of re-unpacking the
-/// whole stream (which would turn a per-group O(group) walk into
-/// O(d_in · d_out) *per group*).
+/// This is the random-access variant: a range whose first code does
+/// not land on a byte boundary is decoded directly from its bit offset
+/// instead of re-unpacking the whole stream from the start.
 ///
 /// # Panics
 ///
@@ -66,11 +64,12 @@ pub fn unpack_codes_at(data: &[u8], bits: u8, start: usize, count: usize) -> Vec
     out
 }
 
-/// [`unpack_codes_at`] writing into a caller-provided buffer — the
-/// allocation-free variant the packed forward pass uses so its per-group
-/// scratch is reused across the whole matmul instead of reallocated per
-/// group. Decodes exactly `out.len()` codes starting at code index
-/// `start`.
+/// [`unpack_codes_at`] writing into a caller-provided buffer, so a
+/// caller decoding many ranges reuses one buffer instead of allocating
+/// per range. Decodes exactly `out.len()` codes starting at code index
+/// `start`, one bit-serial step per code: the reference decoder. The
+/// packed forward pass (`aptq_qmodel::QuantizedLinear`) decodes whole
+/// bytes at a time instead, and is tested against this decoder.
 ///
 /// # Panics
 ///

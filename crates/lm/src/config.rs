@@ -154,7 +154,14 @@ impl ModelConfig {
     /// The input contract of [`crate::ModelOf::try_forward`] and every
     /// generator, in order: `EmptyInput`, `SequenceFull` past
     /// `max_seq_len`, then `TokenOutOfRange` for the first bad id.
-    pub(crate) fn check_prompt(&self, tokens: &[u32]) -> Result<(), LmError> {
+    /// Wrappers over the generic stack (the packed model) validate with
+    /// it too, so there is one contract.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LmError::EmptyInput`], [`LmError::SequenceFull`] or
+    /// [`LmError::TokenOutOfRange`], checked in that order.
+    pub fn check_prompt(&self, tokens: &[u32]) -> Result<(), LmError> {
         if tokens.is_empty() {
             return Err(LmError::EmptyInput);
         }

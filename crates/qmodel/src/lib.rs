@@ -11,8 +11,9 @@
 //! fp32 weight matrix. This crate implements that execution path:
 //!
 //! - [`QuantizedLinear`]: a linear layer whose weight lives in a
-//!   [`aptq_core::pack::PackedTensor`]; `forward` streams one input-dim
-//!   group at a time through a small scratch buffer.
+//!   [`aptq_core::pack::PackedTensor`]; `forward` decodes the packed
+//!   codes a byte block at a time, dequantizing each weight row on the
+//!   fly.
 //! - [`QuantizedModel`]: the full transformer with every projection
 //!   packed (embeddings, norms and LM head stay fp32, as in the paper's
 //!   GPTQ-family setting), constructible straight from a model + a
@@ -38,6 +39,9 @@ pub enum QModelError {
     Quant(aptq_core::QuantError),
     /// A plan/Hessian entry was missing for a layer.
     MissingLayer(String),
+    /// Input sequence or prompt was empty where at least one token is
+    /// required.
+    EmptyInput,
     /// Token id outside the vocabulary.
     TokenOutOfRange {
         /// Offending token.
@@ -67,6 +71,7 @@ impl std::fmt::Display for QModelError {
         match self {
             QModelError::Quant(e) => write!(f, "layer quantization failed: {e}"),
             QModelError::MissingLayer(l) => write!(f, "no plan/hessian entry for layer {l}"),
+            QModelError::EmptyInput => write!(f, "input sequence must contain at least one token"),
             QModelError::TokenOutOfRange { token, vocab } => {
                 write!(f, "token {token} out of range for vocab {vocab}")
             }
@@ -124,6 +129,7 @@ mod tests {
         let e = QModelError::Quant(aptq_core::QuantError::EmptyCalibration);
         assert!(std::error::Error::source(&e).is_some());
         assert!(QModelError::NonFinite { pos: 3 }.to_string().contains('3'));
+        assert!(QModelError::EmptyInput.to_string().contains("token"));
         let i = QModelError::Integrity(aptq_artifact::ArtifactError::ChecksumMismatch {
             section: "layers.0.self_attn.q_proj".into(),
             expected: 1,

@@ -233,8 +233,7 @@ impl QuantizedModel {
     /// Per-token cost is independent of position (no re-running the
     /// prefix), and fed tokens produce logits bit-identical to the full
     /// [`QuantizedModel::forward`] — the row-independence contract of
-    /// [`aptq_lm::LinearOp`] holds for the group-streamed packed
-    /// operator.
+    /// [`aptq_lm::LinearOp`] holds for the packed operator.
     pub fn decode_session(&self) -> DecodeSession<'_, QuantizedLinear> {
         DecodeSession::new(&self.inner)
     }
@@ -283,44 +282,6 @@ impl QuantizedModel {
         }
     }
 
-    /// Validates tokens against the vocabulary and sequence capacity.
-    fn check_tokens(&self, tokens: &[u32]) -> Result<(), QModelError> {
-        let cfg = self.inner.config();
-        if tokens.len() > cfg.max_seq_len {
-            return Err(QModelError::SequenceTooLong {
-                len: tokens.len(),
-                max: cfg.max_seq_len,
-            });
-        }
-        for &tok in tokens {
-            if tok as usize >= cfg.vocab_size {
-                return Err(QModelError::TokenOutOfRange {
-                    token: tok,
-                    vocab: cfg.vocab_size,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Maps decode-session errors surfaced through the generic stack
-    /// onto this crate's error type. Inputs are pre-validated, so only
-    /// the variants a running session can produce are expected.
-    fn lift(&self, e: LmError) -> QModelError {
-        match e {
-            LmError::TokenOutOfRange { token, vocab } => {
-                QModelError::TokenOutOfRange { token, vocab }
-            }
-            LmError::SequenceFull { pos, max_seq_len } => QModelError::SequenceTooLong {
-                len: pos + 1,
-                max: max_seq_len,
-            },
-            LmError::NonFiniteLogits { pos } => QModelError::NonFinite { pos },
-            // audit:allow(panic): inputs pre-validated by check_tokens; other variants cannot occur
-            other => unreachable!("validated quantized path returned {other}"),
-        }
-    }
-
     /// Full forward pass from packed storage; returns `T × vocab`
     /// logits via the generic [`ModelOf`] path.
     ///
@@ -332,11 +293,11 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on invalid input.
+    /// Rejects the tokens per lm's input contract
+    /// ([`ModelConfig::check_prompt`]): [`QModelError::EmptyInput`],
+    /// [`QModelError::SequenceTooLong`], [`QModelError::TokenOutOfRange`].
     pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, QModelError> {
-        self.check_tokens(tokens)?;
-        Ok(self.inner.forward(tokens))
+        self.inner.try_forward(tokens).map_err(lift)
     }
 
     /// [`QuantizedModel::forward`] recording packed-projection work into
@@ -357,7 +318,7 @@ impl QuantizedModel {
         tokens: &[u32],
         rec: &mut Recorder,
     ) -> Result<Matrix, QModelError> {
-        self.check_tokens(tokens)?;
+        self.inner.config().check_prompt(tokens).map_err(lift)?;
         Ok(self.inner.forward_recorded(tokens, rec))
     }
 
@@ -376,17 +337,12 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on an invalid prompt.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty prompt (as before: there is no last-logits
-    /// row to extend).
+    /// Rejects the prompt as [`QuantizedModel::forward`] does (an empty
+    /// prompt is [`QModelError::EmptyInput`]); returns
+    /// [`QModelError::NonFinite`] if decoding produces non-finite
+    /// logits.
     pub fn generate_greedy(&self, prompt: &[u32], n_new: usize) -> Result<Vec<u32>, QModelError> {
-        assert!(!prompt.is_empty(), "generate_greedy: empty prompt");
-        self.check_tokens(prompt)?;
-        generate_greedy_cached(&self.inner, prompt, n_new).map_err(|e| self.lift(e))
+        generate_greedy_cached(&self.inner, prompt, n_new).map_err(lift)
     }
 
     /// Greedy generation over many prompts at once through a batched
@@ -403,28 +359,32 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`QModelError::TokenOutOfRange`] /
-    /// [`QModelError::SequenceTooLong`] on an invalid prompt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompts` is empty or any prompt is empty (as in
-    /// [`QuantizedModel::generate_greedy`]: there is no last-logits
-    /// row to extend).
+    /// Returns [`QModelError::EmptyInput`] if `prompts` is empty, and
+    /// rejects each prompt, in order, as
+    /// [`QuantizedModel::generate_greedy`] does.
     pub fn generate_greedy_batched(
         &self,
         prompts: &[Vec<u32>],
         n_new: usize,
     ) -> Result<Vec<Vec<u32>>, QModelError> {
-        assert!(
-            !prompts.is_empty() && prompts.iter().all(|p| !p.is_empty()),
-            "generate_greedy_batched: empty prompt"
-        );
-        for p in prompts {
-            self.check_tokens(p)?;
-        }
-        aptq_lm::decode::generate_greedy_batched(&self.inner, prompts, n_new)
-            .map_err(|e| self.lift(e))
+        aptq_lm::decode::generate_greedy_batched(&self.inner, prompts, n_new).map_err(lift)
+    }
+}
+
+/// Maps the generic stack's errors onto this crate's error type. Only
+/// the input contract's variants and the ones a running session can
+/// produce are expected.
+fn lift(e: LmError) -> QModelError {
+    match e {
+        LmError::EmptyInput => QModelError::EmptyInput,
+        LmError::TokenOutOfRange { token, vocab } => QModelError::TokenOutOfRange { token, vocab },
+        LmError::SequenceFull { pos, max_seq_len } => QModelError::SequenceTooLong {
+            len: pos + 1,
+            max: max_seq_len,
+        },
+        LmError::NonFiniteLogits { pos } => QModelError::NonFinite { pos },
+        // audit:allow(panic): the wrappers only surface input-contract and session errors; other variants cannot occur
+        other => unreachable!("validated quantized path returned {other}"),
     }
 }
 
@@ -513,6 +473,34 @@ mod tests {
         let mut rec = Recorder::new();
         assert!(q.forward_recorded(&[99], &mut rec).is_err());
         assert_eq!(rec.get("qmodel/qlinear/forward_calls"), 0);
+    }
+
+    #[test]
+    fn empty_input_is_an_error_on_every_wrapper() {
+        let (model, _, hs) = setup();
+        let cfg = GridConfig::default();
+        let q = QuantizedModel::quantize_from(&model, &QuantPlan::uniform(&model, 4), &hs, &cfg)
+            .unwrap();
+        assert!(matches!(model.try_forward(&[]), Err(LmError::EmptyInput)));
+        assert!(matches!(q.forward(&[]), Err(QModelError::EmptyInput)));
+        let mut rec = Recorder::new();
+        assert!(matches!(
+            q.forward_recorded(&[], &mut rec),
+            Err(QModelError::EmptyInput)
+        ));
+        assert_eq!(rec.counters().count(), 0, "validation precedes any work");
+        assert!(matches!(
+            q.generate_greedy(&[], 4),
+            Err(QModelError::EmptyInput)
+        ));
+        assert!(matches!(
+            q.generate_greedy_batched(&[], 4),
+            Err(QModelError::EmptyInput)
+        ));
+        assert!(matches!(
+            q.generate_greedy_batched(&[vec![1, 2], vec![]], 4),
+            Err(QModelError::EmptyInput)
+        ));
     }
 
     #[test]
